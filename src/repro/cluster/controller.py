@@ -237,16 +237,17 @@ class DistributionController:
         if self.prefix_tier is not None:
             self.prefix_tier.on_stream_finish(request, now)
 
-    def _on_allocate(self, server, requests, rates, now: float) -> None:
-        """Allocator obs hook: one ``sched.realloc`` record per pass."""
+    def _on_allocate(self, server, requests, now: float) -> None:
+        """Allocator obs hook: one ``sched.realloc`` record per pass,
+        read from the rates the pass just wrote."""
         boosted = 0
         for r in requests:
-            if rates[r.request_id] > r.view_bandwidth:
+            if r.rate > r.view_bandwidth:
                 boosted += 1
         self.tracer.emit(
             TraceKind.SCHED_REALLOC, now,
             server=server.server_id, allocator=self._allocator_name,
-            streams=len(rates), boosted=boosted,
+            streams=len(requests), boosted=boosted,
         )
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ transmission manager via :attr:`BandwidthAllocator.minimum_flow`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.cluster.request import EPS_MB, Request
 from repro.cluster.server import DataServer
@@ -85,13 +85,12 @@ class IntermittentAllocator(BandwidthAllocator):
         self.resume_seconds = float(resume_seconds)
         self.refill_seconds = float(refill_seconds)
 
-    def allocate(
+    def allocate_into(
         self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> Dict[int, float]:
-        rates: Dict[int, float] = {}
+    ) -> None:
         live: List[Request] = []
         for r in requests:
-            rates[r.request_id] = 0.0
+            r.rate = 0.0
             if not now < r.paused_until:
                 live.append(r)
         pool = server.bandwidth
@@ -114,14 +113,14 @@ class IntermittentAllocator(BandwidthAllocator):
                 continue  # parked: plays from its staging buffer
             if pool < r.view_bandwidth - EPS_RATE:
                 break  # genuinely over-committed; later streams starve
-            rates[r.request_id] = r.view_bandwidth
+            r.rate = r.view_bandwidth
             pool -= r.view_bandwidth
         # Spare pass: classic EFTF over everyone with headroom (a parked
         # stream can still absorb workahead when nobody needs the link).
         if pool > EPS_RATE:
             candidates = []
             for r in live:
-                extra_cap = r.client.receive_bandwidth - rates[r.request_id]
+                extra_cap = r.client.receive_bandwidth - r.rate
                 if extra_cap <= EPS_RATE:
                     continue
                 remaining = r.video.size - r.bytes_sent
@@ -137,21 +136,14 @@ class IntermittentAllocator(BandwidthAllocator):
                 # regrows at its cap (see class docstring).
                 if head <= self.refill_seconds * r.view_bandwidth + EPS_MB:
                     continue
-                candidates.append((remaining, r.request_id, extra_cap))
+                candidates.append((remaining, r.request_id, r, extra_cap))
             candidates.sort()
-            for _remaining, rid, extra_cap in candidates:
+            for _remaining, _rid, r, extra_cap in candidates:
                 extra = pool if pool < extra_cap else extra_cap
-                rates[rid] += extra
+                r.rate += extra
                 pool -= extra
                 if pool <= EPS_RATE:
                     break
         hook = self.obs_hook
         if hook is not None:
-            hook(server, requests, rates, now)
-        return rates
-
-    def _distribute_spare(self, rates, candidates, spare):  # pragma: no cover
-        raise AssertionError(
-            "IntermittentAllocator overrides allocate(); the minimum-flow "
-            "spare hook is unused"
-        )
+            hook(server, requests, now)

@@ -32,7 +32,6 @@ inlined arithmetic on request attributes rather than the readable
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.request import EPS_MB, Request
@@ -48,8 +47,10 @@ EPS_RATE: float = 1e-9
 Candidate = Tuple[float, int, Request, float]
 
 
-class BandwidthAllocator(abc.ABC):
-    """Interface: map (server, synced unfinished requests, now) → rates."""
+class BandwidthAllocator:
+    """Base minimum-flow allocator: set every synced unfinished
+    request's rate for *now*.  Subclasses choose who gets the spare by
+    overriding :meth:`_distribute_spare`."""
 
     name: str = "abstract"
 
@@ -60,35 +61,44 @@ class BandwidthAllocator(abc.ABC):
     minimum_flow: bool = True
 
     #: Optional observability hook, called as ``obs_hook(server,
-    #: requests, rates, now)`` after each allocation pass — the obs
-    #: tracer turns these into ``sched.realloc`` records.  This is the
-    #: simulator's hottest call site, so the off-path cost is kept to
-    #: one ``is None`` check.
+    #: requests, now)`` at the end of each allocation pass, after every
+    #: ``r.rate`` is written — the obs tracer turns these into
+    #: ``sched.realloc`` records.  This is the simulator's hottest call
+    #: site, so the off-path cost is kept to one ``is None`` check.
     obs_hook = None
 
-    #: Scratch list reused across :meth:`allocate` calls (the simulator
-    #: is single-threaded and allocators never retain the list beyond
-    #: one ``_distribute_spare`` call, so reuse is safe and avoids one
-    #: list allocation per event).
+    #: Scratch list reused across :meth:`allocate_into` calls (the
+    #: simulator is single-threaded and allocators never retain the
+    #: list beyond one ``_distribute_spare`` call, so reuse is safe and
+    #: avoids one list allocation per event).
     _scratch: Optional[List[Candidate]] = None
 
     def allocate(
         self, server: DataServer, requests: Sequence[Request], now: float
     ) -> Dict[int, float]:
-        """Return {request_id: rate} covering every request.
+        """Run :meth:`allocate_into` and return ``{request_id: rate}``."""
+        self.allocate_into(server, requests, now)
+        return {r.request_id: r.rate for r in requests}
 
-        Guarantees (enforced here, not in subclasses):
+    def allocate_into(
+        self, server: DataServer, requests: Sequence[Request], now: float
+    ) -> None:
+        """Set ``r.rate`` on every request in place.
+
+        The boundary-event hot path: one update of the whole schedule,
+        with no per-stream rate dict.  Guarantees (enforced here, not in
+        subclasses):
+
         * paused streams get 0;
         * all other streams get >= view bandwidth (minimum flow);
         * the sum never exceeds the server link.
         """
-        rates: Dict[int, float] = {}
         base = 0.0
         live: List[Request] = []
         live_append = live.append
         for r in requests:
             if now < r.paused_until:
-                rates[r.request_id] = 0.0
+                r.rate = 0.0
                 continue
             vb = r.view_bandwidth
             if r.playback_pause_time <= now:
@@ -101,9 +111,9 @@ class BandwidthAllocator(abc.ABC):
                     r.video.size - r.bytes_sent,
                 )
                 if head <= EPS_MB:
-                    rates[r.request_id] = 0.0
+                    r.rate = 0.0
                     continue
-            rates[r.request_id] = vb
+            r.rate = vb
             base += vb
             live_append(r)
         if base > server.bandwidth + EPS_MB:
@@ -142,121 +152,18 @@ class BandwidthAllocator(abc.ABC):
                     continue
                 append((remaining, r.request_id, r, extra_cap))
             if candidates:
-                self._distribute_spare(rates, candidates, spare)
+                self._distribute_spare(candidates, spare)
             candidates.clear()  # drop Request refs before parking
             self._scratch = candidates
         hook = self.obs_hook
         if hook is not None:
-            hook(server, requests, rates, now)
-        return rates
+            hook(server, requests, now)
 
-    def allocate_into(
-        self, server: DataServer, requests: Sequence[Request], now: float
-    ) -> None:
-        """Batched allocation: set ``r.rate`` on every request in place.
-
-        The boundary-event hot path: one vectorized update of the whole
-        schedule instead of building a ``{request_id: rate}`` dict and
-        round-tripping it back onto the requests (two dict operations
-        per stream per event).  The arithmetic — floor sum order,
-        candidate order, spare distribution — is exactly
-        :meth:`allocate`'s; the equivalence is pinned by property tests
-        (``tests/test_schedulers.py``).
-
-        Subclasses that override :meth:`allocate` (the intermittent
-        allocator) and allocators with an ``obs_hook`` attached fall
-        back to the dict path automatically, so this is always safe to
-        call.
-        """
-        if (
-            self.obs_hook is not None
-            or type(self).allocate is not BandwidthAllocator.allocate
-        ):
-            rates = self.allocate(server, requests, now)
-            for r in requests:
-                r.rate = rates[r.request_id]
-            return
-        base = 0.0
-        live: List[Request] = []
-        live_append = live.append
-        for r in requests:
-            if now < r.paused_until:
-                r.rate = 0.0
-                continue
-            vb = r.view_bandwidth
-            if r.playback_pause_time <= now:
-                viewed = (r.playback_pause_time - r.playback_start) * vb
-                head = min(
-                    r.client.buffer_capacity - (r.bytes_sent - viewed),
-                    r.video.size - r.bytes_sent,
-                )
-                if head <= EPS_MB:
-                    r.rate = 0.0
-                    continue
-            r.rate = vb
-            base += vb
-            live_append(r)
-        if base > server.bandwidth + EPS_MB:
-            raise RuntimeError(
-                f"minimum-flow violated on server {server.server_id}: "
-                f"floor {base:.3f} > link {server.bandwidth:.3f} Mb/s"
-            )
-        spare = server.bandwidth - base
-        if spare > EPS_RATE and live:
-            candidates = self._scratch
-            if candidates is None:
-                candidates = []
-            else:
-                self._scratch = None  # guard against re-entrant use
-                candidates.clear()
-            append = candidates.append
-            for r in live:
-                vb = r.view_bandwidth
-                client = r.client
-                extra_cap = client.receive_bandwidth - vb
-                if extra_cap <= EPS_RATE:
-                    continue
-                sent = r.bytes_sent
-                remaining = r.video.size - sent
-                if remaining <= EPS_MB:
-                    continue
-                pause = r.playback_pause_time
-                played_until = now if now < pause else pause
-                head = client.buffer_capacity - (
-                    sent - (played_until - r.playback_start) * vb
-                )
-                if head <= EPS_MB:
-                    continue
-                append((remaining, r.request_id, r, extra_cap))
-            if candidates:
-                self._distribute_spare_into(candidates, spare)
-            candidates.clear()  # drop Request refs before parking
-            self._scratch = candidates
-
-    def _distribute_spare_into(
+    def _distribute_spare(
         self, candidates: List[Candidate], spare: float
     ) -> None:
-        """In-place twin of :meth:`_distribute_spare`: add spare onto
-        ``r.rate`` directly.
-
-        Generic fallback: run the dict-based hook over just the
-        candidates (a few entries) and write the results back.
-        Subclasses on the hot path (EFTF) override with a direct loop.
-        """
-        rates = {c[1]: c[2].rate for c in candidates}
-        self._distribute_spare(rates, candidates, spare)
-        for _remaining, rid, r, _cap in candidates:
-            r.rate = rates[rid]
-
-    @abc.abstractmethod
-    def _distribute_spare(
-        self,
-        rates: Dict[int, float],
-        candidates: List[Candidate],
-        spare: float,
-    ) -> None:
-        """Add *spare* bandwidth into *rates* (mutating) among eligible
-        *candidates*."""
+        """Add *spare* bandwidth onto ``r.rate`` among eligible
+        *candidates*.  The default leaves the spare idle."""
 
 
 class EFTFAllocator(BandwidthAllocator):
@@ -270,19 +177,7 @@ class EFTFAllocator(BandwidthAllocator):
 
     name = "eftf"
 
-    def _distribute_spare(self, rates, candidates, spare):
-        candidates.sort()
-        for _remaining, rid, _r, extra_cap in candidates:
-            extra = spare if spare < extra_cap else extra_cap
-            rates[rid] += extra
-            spare -= extra
-            if spare <= EPS_RATE:
-                break
-
-    def _distribute_spare_into(self, candidates, spare):
-        # Direct twin of _distribute_spare (the default allocator's
-        # per-boundary-event path): same sort, same caps, same
-        # early-out — writing r.rate instead of a dict slot.
+    def _distribute_spare(self, candidates, spare):
         candidates.sort()
         for _remaining, _rid, r, extra_cap in candidates:
             extra = spare if spare < extra_cap else extra_cap
@@ -302,11 +197,11 @@ class LFTFAllocator(BandwidthAllocator):
 
     name = "lftf"
 
-    def _distribute_spare(self, rates, candidates, spare):
+    def _distribute_spare(self, candidates, spare):
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        for _remaining, rid, _r, extra_cap in candidates:
+        for _remaining, _rid, r, extra_cap in candidates:
             extra = spare if spare < extra_cap else extra_cap
-            rates[rid] += extra
+            r.rate += extra
             spare -= extra
             if spare <= EPS_RATE:
                 break
@@ -321,23 +216,23 @@ class ProportionalShareAllocator(BandwidthAllocator):
 
     name = "proportional"
 
-    def _distribute_spare(self, rates, candidates, spare):
+    def _distribute_spare(self, candidates, spare):
         # Water-filling: loop because capping one stream frees share for
-        # the others.  Terminates in <= len(candidates) rounds.
-        remaining_cap = {rid: cap for _rem, rid, _r, cap in candidates}
-        pool = list(remaining_cap)
+        # the others.  Terminates in <= len(candidates) rounds.  Each
+        # pool slot is [request, remaining cap].
+        pool = [[r, cap] for _rem, _rid, r, cap in candidates]
         while spare > EPS_RATE and pool:
             share = spare / len(pool)
-            next_round: List[int] = []
-            for rid in pool:
-                cap = remaining_cap[rid]
+            next_round: List[list] = []
+            for slot in pool:
+                r, cap = slot
                 extra = share if share < cap else cap
                 if extra > EPS_RATE:
-                    rates[rid] += extra
+                    r.rate += extra
                     spare -= extra
-                    remaining_cap[rid] = cap - extra
+                    slot[1] = cap - extra
                     if cap - extra > EPS_RATE:
-                        next_round.append(rid)
+                        next_round.append(slot)
             if len(next_round) == len(pool):
                 break  # nobody capped; share was fully dealt
             pool = next_round
@@ -351,9 +246,6 @@ class NoWorkaheadAllocator(BandwidthAllocator):
     """
 
     name = "none"
-
-    def _distribute_spare(self, rates, candidates, spare):
-        return  # leave the spare idle
 
 
 #: Scheduler registry used by the simulation config layer; unknown keys

@@ -23,7 +23,7 @@ cancelled lazily and rescheduled.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis.metrics import MetricsSink
 from repro.cluster.request import EPS_MB, Request
@@ -107,24 +107,30 @@ class TransmissionManager:
     # ------------------------------------------------------------------
     # Core cycle
     # ------------------------------------------------------------------
-    def _sync_all(self, active, now: float) -> None:
+    def _sync_all(self, active, now: float) -> List[Request]:
         """Integrate every stream to *now*, batching the transfer
-        accounting into one metrics call per event.
+        accounting into one metrics call per event, and return the
+        streams whose transmission has finished (in *active* order).
 
         This is the inlined (hot-loop) equivalent of calling
-        ``Request.sync`` per stream; tests assert the two agree.
+        ``Request.sync`` per stream and then testing
+        ``Request.transmission_finished`` (same ``size - sent <=
+        EPS_MB`` test); tests assert the two agree.
         """
         total = 0.0
+        finished: List[Request] = []
         for r in active:
+            size = r.video.size
+            sent = r.bytes_sent
             dt = now - r.last_sync
             if dt > 0.0:
                 rate = r.rate
                 if rate > 0.0:
                     delta = rate * dt
-                    remaining = r.video.size - r.bytes_sent
+                    remaining = size - sent
                     if delta > remaining:
                         delta = remaining
-                    r.bytes_sent += delta
+                    r.bytes_sent = sent = sent + delta
                     total += delta
             elif dt < 0.0:
                 raise RuntimeError(
@@ -132,8 +138,11 @@ class TransmissionManager:
                     f"{now} < {r.last_sync}"
                 )
             r.last_sync = now
+            if size - sent <= EPS_MB:
+                finished.append(r)
         if total > 0.0:
             self.metrics.record_bytes(self.server.server_id, total, now)
+        return finished
 
     def reallocate(self, now: float, _synced_active=None) -> None:
         """Sync state, apply the allocator, schedule the next boundary.
@@ -280,10 +289,9 @@ class TransmissionManager:
         now = self.engine.now
         self._event = None
         active = list(self.server.iter_active())
-        self._sync_all(active, now)
+        finished = self._sync_all(active, now)
         if self.tracer is not None:
             self._trace_full_buffers(active, now)
-        finished = [r for r in active if r.transmission_finished]
         if finished:
             for r in finished:
                 self.server.detach(r)

@@ -32,13 +32,13 @@ from repro.experiments.base import (
 from repro.experiments.registry import Artifact, ExperimentSpec, register
 from repro.simulation import SimulationConfig
 
-SCHEDULERS: Sequence[str] = ("eftf", "proportional", "lftf", "none")
+ABLATED_ALLOCATORS: Sequence[str] = ("eftf", "proportional", "lftf", "none")
 
 
 def run_ablation(
     system: SystemConfig = SMALL_SYSTEM,
     theta_values: Optional[List[float]] = None,
-    schedulers: Sequence[str] = SCHEDULERS,
+    schedulers: Sequence[str] = ABLATED_ALLOCATORS,
     staging_fraction: float = 0.2,
     scale: Optional[float] = None,
     seed: int = 0,

@@ -1,16 +1,16 @@
 """The discrete-event simulation engine.
 
-The engine owns the simulation clock and delegates the event agenda to
-a pluggable :class:`~repro.sim.scheduler.EventScheduler` (a binary heap
-by default; a calendar queue for very deep agendas — select via
-``Engine(scheduler=...)`` or the ``REPRO_SCHEDULER`` environment
-variable).  Design decisions that matter for the reproduction:
+The engine owns the simulation clock and the event agenda: a binary
+heap (``heapq``) of ``(time, seq, event)`` tuples.  At the agenda depths
+these simulations produce (one boundary event per server plus a handful
+of arrival/fault timers) the C-compared heap is the fastest structure.
+Design decisions that matter for the reproduction:
 
 * **Determinism** — events at equal timestamps fire in scheduling order
-  (FIFO via a sequence counter).  Agenda entries are ``(time, seq,
-  event)`` tuples, so every ordering comparison runs in C and every
-  scheduler implementation pops the identical ``(time, seq)`` sequence
-  (enforced by a hypothesis property).  Combined with named RNG
+  (FIFO via a sequence counter).  ``seq`` is unique per engine, so tuple
+  comparison runs in C on the ``(time, seq)`` prefix and never reaches
+  the event object (pop order is pinned by a hypothesis property in
+  ``tests/test_engine.py``).  Combined with named RNG
   substreams (:mod:`repro.sim.rng`) this makes every experiment
   bit-reproducible from its seed.
 * **Lazy cancellation** — the admission/EFTF machinery reschedules a
@@ -21,14 +21,13 @@ variable).  Design decisions that matter for the reproduction:
   ``t`` even if the agenda empties earlier, so utilization denominators
   are well-defined.
 
-Hot-path notes: ``run_until`` dispatches to the scheduler's
-:meth:`~repro.sim.scheduler.EventScheduler.drain` loop (specialized per
-structure — see that module's docstring for why), and ``schedule``
-constructs :class:`Event` handles without a Python-level ``__init__``
-call.  Engine state accessed per event lives in ``__slots__``.  The
-``_trace_fns`` list object is never reassigned after construction —
-drain loops bind it once and rely on mutations (``add_trace`` /
-``remove_trace``) staying visible mid-run.
+Hot-path notes: ``run_until`` is the simulator's outermost loop and
+pops the heap inline (no separate peek, counters batched in locals),
+and ``schedule`` constructs :class:`Event` handles without a
+Python-level ``__init__`` call.  Engine state accessed per event lives
+in ``__slots__``.  The ``_trace_fns`` list object is never reassigned
+after construction — ``run_until`` binds it once and relies on
+mutations (``add_trace`` / ``remove_trace``) staying visible mid-run.
 
 The engine deliberately knows nothing about video servers; it is a
 general substrate (and is tested as one).
@@ -36,17 +35,11 @@ general substrate (and is tested as one).
 
 from __future__ import annotations
 
-import warnings
-from heapq import heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event, EventState
-from repro.sim.scheduler import (
-    EventScheduler,
-    HeapScheduler,
-    resolve_scheduler,
-)
 
 #: Module-level bindings: the hot paths test ``event._state is
 #: _PENDING`` directly rather than through the ``Event.pending``
@@ -54,7 +47,12 @@ from repro.sim.scheduler import (
 #: events), and build handles via ``object.__new__`` (skipping the
 #: ``Event.__init__`` frame, also measurable).
 _PENDING = EventState.PENDING
+_FIRED = EventState.FIRED
 _new_event = object.__new__
+
+#: An agenda entry.  ``seq`` is unique, so tuple comparison never
+#: reaches the (uncomparable-by-design) event object.
+Entry = Tuple[float, int, Event]
 
 
 class SimulationError(RuntimeError):
@@ -66,10 +64,6 @@ class Engine:
 
     Args:
         start_time: initial clock value.
-        scheduler: agenda implementation — an
-            :class:`~repro.sim.scheduler.EventScheduler` instance, a
-            registry key (``"heap"``, ``"calendar"``), or None to use
-            ``REPRO_SCHEDULER`` / the heap default.
 
     Example:
         >>> eng = Engine()
@@ -81,21 +75,14 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_sched", "_heap", "_seq", "_events_fired",
-        "_events_cancelled", "_running", "_trace_fns", "_trace_shim",
-        "profiler",
+        "_now", "_heap", "_seq", "_events_fired", "_events_cancelled",
+        "_running", "_trace_fns", "profiler",
     )
 
-    def __init__(self, start_time: float = 0.0, scheduler=None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._sched: EventScheduler = resolve_scheduler(scheduler)
-        #: Fast-path seam: when the agenda is a plain HeapScheduler,
-        #: ``schedule``/``schedule_at`` push straight onto its list with
-        #: the C ``heappush`` instead of a Python method call.  Any
-        #: subclass (or other scheduler) goes through ``push()``.
-        self._heap = (
-            self._sched._heap if type(self._sched) is HeapScheduler else None
-        )
+        #: The agenda: a ``heapq`` list of :data:`Entry` tuples.
+        self._heap: List[Entry] = []
         self._seq = 0
         self._events_fired = 0
         self._events_cancelled = 0
@@ -103,9 +90,8 @@ class Engine:
         #: Subscribers called as ``fn(event)`` just before each event
         #: fires — debugging, test instrumentation, and the obs tracer
         #: coexist here.  Manage via :meth:`add_trace`/:meth:`remove_trace`.
-        #: The list object is never replaced (drain loops bind it once).
+        #: The list object is never replaced (run_until binds it once).
         self._trace_fns: List[Callable[[Event], None]] = []
-        self._trace_shim: Optional[Callable[[Event], None]] = None
         #: Optional :class:`repro.obs.profiler.EventProfiler`; when set,
         #: each callback's wall-clock is accounted per event kind.  The
         #: off-path cost is a single ``is None`` check.
@@ -120,9 +106,9 @@ class Engine:
         return self._now
 
     @property
-    def scheduler(self) -> EventScheduler:
-        """The agenda implementation in use."""
-        return self._sched
+    def scheduler(self) -> List[Entry]:
+        """The agenda itself: the heap list (read-only use only)."""
+        return self._heap
 
     @property
     def events_fired(self) -> int:
@@ -138,7 +124,7 @@ class Engine:
     def pending_count(self) -> int:
         """Number of events currently on the agenda (including cancelled
         handles not yet popped)."""
-        return len(self._sched)
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Trace subscribers
@@ -153,46 +139,20 @@ class Engine:
     def remove_trace(self, fn: Callable[[Event], None]) -> None:
         """Unsubscribe *fn* (ValueError if not subscribed)."""
         self._trace_fns.remove(fn)
-        if fn is self._trace_shim:
-            self._trace_shim = None
-
-    @property
-    def trace(self) -> Optional[Callable[[Event], None]]:
-        """Deprecated single-subscriber view of the trace hooks.
-
-        Assigning replaces only the previously *assigned* hook;
-        subscribers added via :meth:`add_trace` are unaffected.  Use
-        :meth:`add_trace`/:meth:`remove_trace` in new code.
-        """
-        return self._trace_shim
-
-    @trace.setter
-    def trace(self, fn: Optional[Callable[[Event], None]]) -> None:
-        warnings.warn(
-            "Engine.trace is deprecated; use add_trace()/remove_trace()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._trace_shim is not None:
-            self._trace_fns.remove(self._trace_shim)
-        self._trace_shim = fn
-        if fn is not None:
-            self._trace_fns.append(fn)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next *live* event, or None if the agenda is empty.
 
         Pops and discards dead (cancelled) handles encountered on the way.
         """
-        sched = self._sched
-        while True:
-            entry = sched.peek()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
             if entry[2]._state is _PENDING:
                 return entry[0]
-            sched.pop()
+            _heappop(heap)
             self._events_cancelled += 1
+        return None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -231,11 +191,7 @@ class Engine:
         event.payload = payload
         event.kind = kind
         event._state = _PENDING
-        heap = self._heap
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            self._sched.push((time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(
@@ -259,11 +215,7 @@ class Engine:
         event.payload = payload
         event.kind = kind
         event._state = _PENDING
-        heap = self._heap
-        if heap is not None:
-            _heappush(heap, (time, seq, event))
-        else:
-            self._sched.push((time, seq, event))
+        _heappush(self._heap, (time, seq, event))
         return event
 
     # ------------------------------------------------------------------
@@ -275,11 +227,9 @@ class Engine:
         Returns:
             True if an event fired, False if the agenda was empty.
         """
-        sched = self._sched
-        while True:
-            entry = sched.pop()
-            if entry is None:
-                return False
+        heap = self._heap
+        while heap:
+            entry = _heappop(heap)
             event = entry[2]
             if event._state is not _PENDING:
                 self._events_cancelled += 1
@@ -297,6 +247,7 @@ class Engine:
                 event._fire()
                 profiler.record(event.kind, perf_counter() - t0)
             return True
+        return False
 
     def run_until(self, until: float) -> None:
         """Run events with ``time <= until`` and leave the clock at *until*.
@@ -304,13 +255,12 @@ class Engine:
         Events scheduled exactly at *until* do fire.  The clock never
         moves backwards: if *until* is in the past this raises.
 
-        This is the simulator's outermost hot loop; the actual pass is
-        the scheduler's :meth:`~repro.sim.scheduler.EventScheduler.drain`,
-        specialized per agenda structure.  The contract (identical for
-        every scheduler, enforced by tests): each agenda head is
-        examined exactly once — dead handles are popped and counted,
-        the first live head beyond *until* ends the run while staying
-        on the agenda, and everything else fires.
+        This is the simulator's outermost hot loop.  Each agenda head
+        is examined exactly once: dead handles are popped and counted
+        (even beyond *until*), the first live head beyond *until* ends
+        the run and is pushed back (one push per call), and everything
+        else fires.  Counters are batched in locals and written back in
+        ``finally`` so they stay exact when a callback raises.
         """
         if not until >= self._now:
             raise SimulationError(
@@ -319,10 +269,42 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = _heappop
+        trace_fns = self._trace_fns  # list identity is stable
+        fired = self._events_fired
+        cancelled = self._events_cancelled
+        timer = perf_counter
         try:
-            self._sched.drain(self, until)
+            while heap:
+                entry = pop(heap)
+                event = entry[2]
+                if event._state is not _PENDING:
+                    cancelled += 1
+                    continue
+                t = entry[0]
+                if t > until:
+                    _heappush(heap, entry)  # stays on the agenda
+                    break
+                self._now = t
+                if trace_fns:
+                    self._events_fired = fired
+                    self._events_cancelled = cancelled
+                    for fn in trace_fns:
+                        fn(event)
+                fired += 1
+                event._state = _FIRED
+                profiler = self.profiler
+                if profiler is None:
+                    event.callback()
+                else:
+                    t0 = timer()
+                    event.callback()
+                    profiler.record(event.kind, timer() - t0)
             self._now = float(until)
         finally:
+            self._events_fired = fired
+            self._events_cancelled = cancelled
             self._running = False
 
     def run(self) -> None:
@@ -341,9 +323,7 @@ class Engine:
     # ------------------------------------------------------------------
     def iter_pending(self) -> Iterator[Event]:
         """Yield pending events in an unspecified order (debug only)."""
-        return (
-            entry[2] for entry in self._sched.entries() if entry[2].pending
-        )
+        return (entry[2] for entry in self._heap if entry[2].pending)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

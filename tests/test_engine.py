@@ -1,8 +1,10 @@
 """Unit tests for the DES engine (repro.sim.engine / events)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, EventState
 
 
@@ -156,32 +158,6 @@ class TestIntrospection:
         engine.run()
         assert seen == [(1.0, "ping")]
 
-    def test_deprecated_trace_shim_warns_and_still_works(self, engine):
-        # External users assigning the legacy single-subscriber slot
-        # must get a DeprecationWarning, and the hook must still fire.
-        seen = []
-        with pytest.warns(DeprecationWarning, match="Engine.trace"):
-            engine.trace = lambda ev: seen.append(ev.kind)
-        engine.schedule(1.0, lambda: None, kind="ping")
-        engine.run()
-        assert seen == ["ping"]
-
-    def test_no_internal_caller_uses_deprecated_trace(self):
-        # The shim exists for external users only: a fully traced
-        # simulation run must not touch it.
-        import warnings
-
-        from repro import obs
-        from repro.cluster.system import SMALL_SYSTEM
-        from repro.simulation import Simulation, SimulationConfig
-
-        config = SimulationConfig(
-            system=SMALL_SYSTEM, theta=0.0, duration=600.0, seed=1
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Simulation(config, tracer=obs.Tracer()).run()
-
     def test_iter_pending_excludes_cancelled(self, engine):
         keep = engine.schedule(1.0, lambda: None, kind="keep")
         engine.schedule(2.0, lambda: None, kind="drop").cancel()
@@ -226,34 +202,6 @@ class TestTraceSubscribers:
     def test_remove_unsubscribed_raises(self, engine):
         with pytest.raises(ValueError):
             engine.remove_trace(lambda ev: None)
-
-    def test_deprecated_trace_setter_warns_and_works(self, engine):
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: seen.append(ev.kind)
-        engine.schedule(1.0, lambda: None, kind="ping")
-        engine.run()
-        assert seen == ["ping"]
-
-    def test_shim_coexists_with_subscribers(self, engine):
-        calls = []
-        engine.add_trace(lambda ev: calls.append("sub"))
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: calls.append("shim1")
-        with pytest.warns(DeprecationWarning):
-            engine.trace = lambda ev: calls.append("shim2")  # replaces shim1
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        assert calls == ["sub", "shim2"]
-
-    def test_shim_getter_reflects_assignment(self, engine):
-        assert engine.trace is None
-        fn = lambda ev: None  # noqa: E731
-        with pytest.warns(DeprecationWarning):
-            engine.trace = fn
-        assert engine.trace is fn
-        engine.remove_trace(fn)
-        assert engine.trace is None
 
 
 class TestCancellationAccounting:
@@ -315,3 +263,77 @@ class TestCancellationAccounting:
         assert engine.events_cancelled == 45
         assert engine.pending_count == 0
         assert sum(1 for _ in engine.iter_pending()) == 0
+
+
+class TestAgendaOrderProperty:
+    """The heap agenda fires live events in exactly ascending
+    ``(time, seq)`` order — FIFO at equal timestamps — and counts every
+    cancelled handle once, for any schedule/cancel/step interleave."""
+
+    # Small time domain → plenty of exact timestamp collisions, so the
+    # (time, seq) FIFO tie-break is genuinely exercised.
+    times = st.floats(
+        min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False,
+    ).map(lambda t: round(t, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.lists(st.tuples(times, st.booleans()), max_size=120))
+    def test_schedule_all_fires_in_time_seq_order(self, spec):
+        engine = Engine()
+        fired = []
+        for i, (t, cancel) in enumerate(spec):
+            handle = engine.schedule_at(t, lambda i=i: fired.append(i))
+            if cancel:
+                handle.cancel()
+        engine.run_until(8.0)
+        live = [i for i, (_, cancel) in enumerate(spec) if not cancel]
+        assert fired == sorted(live, key=lambda i: (spec[i][0], i))
+        assert engine.events_fired == len(live)
+        assert engine.events_cancelled == len(spec) - len(live)
+        assert engine.pending_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                times,
+                st.none(),  # step
+                st.integers(min_value=0, max_value=200),  # cancel
+            ),
+            max_size=120,
+        )
+    )
+    def test_interleaved_schedule_cancel_step(self, ops):
+        """Steps interleave with scheduling and cancellation; a scheduled
+        time is clamped to >= now (the engine never schedules in the
+        past).  A reference sorted list predicts every firing."""
+        engine = Engine()
+        fired = []
+        handles = []
+        expected = []  # (time, index) of live events, kept sorted
+        for op in ops:
+            if op is None:
+                assert engine.step() is bool(expected)
+                if expected:
+                    t, i = expected.pop(0)
+                    assert fired[-1] == i
+                    assert engine.now == t
+            elif isinstance(op, float):
+                i = len(handles)
+                t = max(op, engine.now)
+                handles.append(
+                    engine.schedule_at(t, lambda i=i: fired.append(i))
+                )
+                expected.append((t, i))
+                expected.sort()
+            elif handles:
+                i = op % len(handles)
+                if handles[i].cancel():
+                    expected.remove((handles[i].time, i))
+        stepped = len(fired)
+        engine.run()
+        assert fired[stepped:] == [i for _t, i in expected]
+        assert engine.events_fired == len(fired)
+        assert engine.events_cancelled == sum(
+            1 for h in handles if h.state is EventState.CANCELLED
+        )

@@ -320,6 +320,44 @@ class TestRuntimeEnv:
         assert not obs_active()
 
 
+class TestTracedRunTakesUntracedPath:
+    """Attaching a tracer must not change which allocator code runs: the
+    traced run never enters the ``allocate`` dict view, and its result
+    equals the untraced run's (``provenance`` is excluded from ``==``)."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(scheduler="eftf"),
+            dict(scheduler="intermittent", admission="overbook"),
+        ],
+        ids=["eftf", "intermittent"],
+    )
+    def test_traced_result_equals_untraced(self, overrides, monkeypatch):
+        from repro.cluster.system import SMALL_SYSTEM
+        from repro.core.intermittent import IntermittentAllocator
+        from repro.core.schedulers import BandwidthAllocator
+        from repro.simulation import Simulation, SimulationConfig
+        from repro.units import hours
+
+        config = SimulationConfig(
+            system=SMALL_SYSTEM.scaled(n_videos=80, name="tiny"),
+            theta=0.3, staging_fraction=0.5, duration=hours(1.5),
+            seed=5, **overrides,
+        )
+        untraced = Simulation(config).run()
+
+        def dict_path(*args, **kwargs):
+            raise AssertionError("traced run entered the dict path")
+
+        for cls in (BandwidthAllocator, IntermittentAllocator):
+            monkeypatch.setattr(cls, "allocate", dict_path)
+        tracer = Tracer()
+        traced = Simulation(config, tracer=tracer).run()
+        assert tracer.counts[TraceKind.SCHED_REALLOC] > 0
+        assert traced == untraced
+
+
 class TestSimulationIntegration:
     @pytest.fixture(scope="class")
     def traced_run(self):

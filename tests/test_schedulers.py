@@ -210,12 +210,10 @@ class TestInlinedEligibilityEquivalence:
         assert r.headroom(now) == pytest.approx(expected)
 
 
-class TestAllocateIntoEquivalence:
-    """allocate_into (the batched in-place path TransmissionManager
-    drives) must write exactly the rates allocate (the reference dict
-    path) returns — for every registered allocator and a state mix
-    covering paused, VCR-paused, buffer-limited and finishing streams.
-    """
+class TestObsHook:
+    """The obs hook fires at the end of every allocation pass, after
+    each ``r.rate`` is written, for minimum-flow and intermittent
+    allocators alike."""
 
     def _populate(self, srv, now=10.0):
         reqs = []
@@ -226,43 +224,27 @@ class TestAllocateIntoEquivalence:
         # Buffer-limited (small headroom caps its boost).
         reqs.append(attached_request(srv, remaining=60.0,
                                      buffer_capacity=12.0))
-        # Receive-bandwidth-limited client.
-        reqs.append(attached_request(srv, remaining=70.0,
-                                     receive_bandwidth=1.5))
         # Migration-paused until beyond `now`.
         paused = attached_request(srv, remaining=50.0)
         paused.paused_until = now + 5.0
         reqs.append(paused)
-        # VCR-paused viewer (stopped playing at t=2).
-        vcr = attached_request(srv, remaining=40.0, buffer_capacity=30.0)
-        vcr.playback_pause_time = 2.0
-        reqs.append(vcr)
         for r in reqs:
             r.last_sync = now
         return reqs
 
-    @pytest.mark.parametrize("name", sorted(ALLOCATORS))
-    def test_matches_reference_dict_path(self, name):
-        now = 10.0
-        ref_srv, into_srv = server(), server()
-        ref_reqs = self._populate(ref_srv, now)
-        into_reqs = self._populate(into_srv, now)
-
-        expected = ALLOCATORS[name]().allocate(ref_srv, ref_reqs, now)
-        ALLOCATORS[name]().allocate_into(into_srv, into_reqs, now)
-        for ref_r, into_r in zip(ref_reqs, into_reqs):
-            # Bit-equality, not approx: the batched path must preserve
-            # the reference's float operation order exactly.
-            assert into_r.rate == expected[ref_r.request_id]
-
     def test_obs_hook_still_fires_through_allocate_into(self):
-        srv = server()
-        reqs = self._populate(srv)
-        alloc = EFTFAllocator()
-        seen = []
-        alloc.obs_hook = lambda server, requests, rates, now: seen.append(
-            (len(rates), now)
-        )
-        alloc.allocate_into(srv, reqs, 10.0)
-        assert seen and seen[0][1] == 10.0
-        assert all(r.rate >= 0.0 for r in reqs)
+        for name in ("eftf", "intermittent"):
+            srv = server()
+            reqs = self._populate(srv)
+            for r in reqs:
+                r.rate = -1.0  # stale value the pass must overwrite
+            alloc = ALLOCATORS[name]()
+            seen = []
+            alloc.obs_hook = lambda server, requests, now: seen.append(
+                (server, [r.rate for r in requests], now)
+            )
+            alloc.allocate_into(srv, reqs, 10.0)
+            assert seen == [(srv, [r.rate for r in reqs], 10.0)]
+            assert all(r.rate >= 0.0 for r in reqs)
+            assert reqs[1].rate > reqs[1].view_bandwidth  # boosted
+            assert reqs[3].rate == 0.0  # paused

@@ -155,6 +155,25 @@ class TestBoundaryBookkeeping:
         expected = min(sent_before + rate * (5.0 - last), r.size)
         assert r.bytes_sent == pytest.approx(expected)
 
+    def test_sync_all_returns_exactly_the_finished_streams(self):
+        """The fused finish test in _sync_all must pick out the streams
+        Request.transmission_finished reports, in active order."""
+        cluster = one_server_cluster(bandwidth=10.0)
+        reqs = [
+            cluster.submit(0, client=make_client(buffer_capacity=math.inf))[0]
+            for _ in range(3)
+        ]
+        cluster.engine.run_until(3.0)
+        manager = cluster.managers[0]
+        active = list(manager.server.iter_active())
+        manager._sync_all(active, 3.0)  # everything integrated to now
+        reqs[0].bytes_sent = reqs[0].size  # finished earlier
+        reqs[2].bytes_sent = reqs[2].size - reqs[2].rate * 1.0  # at 4.0
+        finished = manager._sync_all(active, 4.0)
+        assert finished == [r for r in active if r.transmission_finished]
+        assert reqs[0] in finished and reqs[2] in finished
+        assert reqs[1] not in finished
+
     def test_reallocations_counted(self):
         cluster = one_server_cluster()
         cluster.submit(0, client=make_client())
